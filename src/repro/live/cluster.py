@@ -164,7 +164,7 @@ class LiveCluster:
 
     async def wipe(self, name: str) -> None:
         """Crash one replica AND destroy its durable state (logs,
-        snapshot, order file) — the disk-loss scenario.  A subsequent
+        snapshot, order log) — the disk-loss scenario.  A subsequent
         :meth:`restart` boots it empty; with catch-up enabled it
         rejoins by fetching a peer snapshot (anti-entropy)."""
         if name in self.servers:

@@ -51,7 +51,7 @@ from __future__ import annotations
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .durable_queue import _DurableLog, _read_json_lines
+from .durable_queue import _DurableLog
 
 __all__ = ["CompensationLog"]
 
@@ -82,7 +82,7 @@ class CompensationLog(_DurableLog):
         self.decisions: Dict[str, str] = {}
         #: lifetime appended records (monotone; survives compaction).
         self.records_total = 0
-        for record in _read_json_lines(self.path):
+        for record in self._recover():
             if record.get("meta") == "base":
                 base = int(record.get("base", 0))
                 self.base = max(self.base, base)

@@ -14,8 +14,13 @@ Two halves, matching the two ends of a channel:
   the caller acknowledges anything to a client; ``ack_through``
   processes a cumulative acknowledgement (everything ``<= seq`` is
   durably held by the receiver) and advances the delivery frontier in
-  one batched truncation.  After a restart everything past the
-  frontier is pending again and will be re-sent.
+  one batched truncation, appending it to the log as one
+  ``{"meta": "ack", "through": N}`` record.  On reload the last ack
+  record wins (``rewind_to`` may lower the frontier) and ``base`` is
+  its floor; everything past the frontier is pending again and will
+  be re-sent.  Ack records are flushed but not fsynced: they ride the
+  log's next covering fsync, and losing one only re-sends records the
+  receiver's inbox frontier already drops as duplicates.
 * :class:`DurableInbox` — the receiver's half.  ``record`` /
   ``record_many`` durably log received payloads and deduplicate by
   sequence number (the channel is FIFO, so a contiguous frontier
@@ -78,6 +83,18 @@ either the complete old log or the complete new one.  ``base`` is the
 compaction floor: an outbox can no longer serve records at or below
 it (a receiver that regressed past the floor needs a snapshot, not a
 log replay), and an inbox treats it as its replay origin.
+
+Torn tails: a reload keeps the intact prefix of a log — every
+newline-terminated line that decodes into a record — and cuts the
+rest off the file before appending, so a record written after a
+crash never shares a line with the torn one.
+
+Small state: :class:`StateLog` is the same machinery as a
+last-record-wins store, one ``{"meta": "state", "state": {...}}``
+line per write, folded to one record every
+:data:`STATE_LOG_FOLD_EVERY` appends.  It holds the ORDUP sequencer's
+last grant, the election record and the membership table, so no live
+state file is ever truncated and rewritten in place.
 """
 
 from __future__ import annotations
@@ -86,9 +103,12 @@ import json
 import os
 import pathlib
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["DurableOutbox", "DurableInbox"]
+__all__ = ["DurableOutbox", "DurableInbox", "StateLog"]
+
+#: appends after which a :class:`StateLog` folds itself to one record.
+STATE_LOG_FOLD_EVERY = 4096
 
 
 def _splice_line(seq: int, blob: bytes) -> str:
@@ -103,36 +123,52 @@ def _splice_line(seq: int, blob: bytes) -> str:
     return '{"seq":%d,"payload":%s}\n' % (seq, blob.decode("utf-8"))
 
 
-def _read_json_lines(path: pathlib.Path) -> Iterator[Dict[str, Any]]:
+def _scan_log(path: pathlib.Path) -> Tuple[List[Dict[str, Any]], int]:
+    """The intact records of a JSONL log and the byte length they span.
+
+    A crash mid-append leaves a torn tail: a last line without its
+    newline, or one that does not decode into a record.  Every write
+    ends with the newline and nothing is acknowledged before its write
+    returns, so the torn record was never acknowledged to anyone and
+    the scan stops there.  Everything before it is intact.
+    """
+    records: List[Dict[str, Any]] = []
+    intact = 0
     if not path.exists():
-        return
+        return records, intact
     with path.open("rb") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                # A torn final line from a crash mid-append: everything
-                # before it is intact, the torn record was never
-                # acknowledged to anyone, so it is safe to drop.
-                return
-            if not isinstance(record, dict):
-                return
-            if isinstance(record.get("meta"), str):
-                # Compaction marker (or a future control record).
-                yield record
-                continue
-            if (
-                not isinstance(record.get("seq"), int)
-                or "payload" not in record
-            ):
-                # Decodable but structurally corrupt (e.g. a partial
-                # buffer flush that happens to be valid JSON): same
-                # torn-tail reasoning — it was never acknowledged.
-                return
-            yield record
+            if not line.endswith(b"\n"):
+                break
+            body = line.strip()
+            if body:
+                record = _parse_record(body)
+                if record is None:
+                    break
+                records.append(record)
+            intact += len(line)
+    return records, intact
+
+
+def _parse_record(body: bytes) -> Optional[Dict[str, Any]]:
+    try:
+        record = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if not isinstance(record, dict):
+        return None
+    if isinstance(record.get("meta"), str):
+        # Control record: compaction floor, ack frontier or state.
+        return record
+    if not isinstance(record.get("seq"), int) or "payload" not in record:
+        # Decodable but structurally corrupt (e.g. a partial buffer
+        # flush that happens to be valid JSON): a torn tail as well.
+        return None
+    return record
+
+
+def _read_json_lines(path: pathlib.Path) -> List[Dict[str, Any]]:
+    return _scan_log(path)[0]
 
 
 class _DurableLog:
@@ -164,6 +200,14 @@ class _DurableLog:
         self.compacted_records = 0
         self._log = None  # opened by subclasses after recovery scan
 
+    def _recover(self) -> List[Dict[str, Any]]:
+        """The log's intact records.  A torn tail is cut off the file,
+        so the next append starts on a line of its own."""
+        records, intact = _scan_log(self.path)
+        if self.path.exists() and self.path.stat().st_size > intact:
+            os.truncate(self.path, intact)
+        return records
+
     def _open_log(self) -> None:
         self._log = self.path.open("a", encoding="utf-8")
 
@@ -172,12 +216,17 @@ class _DurableLog:
         whole pre-rendered batch of lines."""
         if not data:
             return
-        self._log.write(data)
-        self._log.flush()
-        self.bytes_written += len(data)
+        self._write_flushed(data)
         if self.fsync:
             self.dirty = True
         self._maybe_fsync()
+
+    def _write_flushed(self, data: str) -> None:
+        """Write and flush, no fsync: the bytes ride the log's next
+        covering fsync, which syncs everything written before it."""
+        self._log.write(data)
+        self._log.flush()
+        self.bytes_written += len(data)
 
     def _write_records(self, records: Sequence[Dict[str, Any]]) -> None:
         if not records:
@@ -237,43 +286,38 @@ class _DurableLog:
             os.close(fd)
 
     def _rewrite(
-        self, records: Sequence[Dict[str, Any]], base: int
+        self, records: Sequence[Dict[str, Any]], base: Optional[int]
     ) -> None:
         """Tail-verified atomic rewrite of the log.
 
         Writes a fresh log — a ``{"meta": "base", "base": N}`` marker
-        followed by ``records`` — to a temporary file, fsyncs it,
-        re-parses it end to end (tail verification: the bytes that hit
-        disk decode back to exactly what we meant to keep), then
-        atomically renames it over the live log.  A crash before the
-        rename leaves the old log intact; after the rename, the new
-        one is complete.  Either way a restart recovers a consistent
-        log — there is no instant at which records are half-dropped.
+        (unless ``base`` is None) followed by ``records`` — to a
+        temporary file, fsyncs it, re-parses it end to end (tail
+        verification: the bytes that hit disk decode back to exactly
+        what we meant to keep), then atomically renames it over the
+        live log.  A crash before the rename leaves the old log
+        intact; after the rename, the new one is complete.  Either way
+        a restart recovers a consistent log — there is no instant at
+        which records are half-dropped.
         """
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
-        marker = {"meta": "base", "base": base}
-        data = "".join(
-            json.dumps(record, separators=(",", ":")) + "\n"
-            for record in [marker, *records]
-        )
+        if base is not None:
+            records = [{"meta": "base", "base": base}, *records]
+        lines = [json.dumps(record, separators=(",", ":")) for record in records]
+        data = "".join(line + "\n" for line in lines)
         with tmp.open("w", encoding="utf-8") as handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         check = list(_read_json_lines(tmp))
-        ok = (
-            len(check) == 1 + len(records)
-            and check[0].get("meta") == "base"
-            and check[0].get("base") == base
-            and (
-                not records
-                or check[-1].get("seq") == records[-1].get("seq")
-            )
+        ok = len(check) == len(lines) and (
+            not lines
+            or json.dumps(check[-1], separators=(",", ":")) == lines[-1]
         )
         if not ok:
             tmp.unlink(missing_ok=True)
             raise RuntimeError(
-                "compaction tail-verify failed for %s" % self.path
+                "rewrite tail-verify failed for %s" % self.path
             )
         if self._log is not None and not self._log.closed:
             self._log.close()
@@ -300,14 +344,8 @@ class DurableOutbox(_DurableLog):
         fsync_interval: float = 0.0,
     ) -> None:
         super().__init__(path, fsync, fsync_interval)
-        self._ack_path = self.path.with_suffix(self.path.suffix + ".ack")
         #: highest contiguously acknowledged sequence number.
         self.frontier = 0
-        if self._ack_path.exists():
-            try:
-                self.frontier = int(self._ack_path.read_text().strip() or 0)
-            except ValueError:
-                self.frontier = 0
         #: unacknowledged payloads by sequence number, insertion-ordered.
         self._pending: Dict[int, Any] = {}
         #: canonical wire bytes of pending payloads (the zero
@@ -319,22 +357,38 @@ class DurableOutbox(_DurableLog):
         #: receiver durably holds records this (restarted) sender has
         #: no memory of sending, i.e. the sender lost its own log.
         self.regressed_acks = 0
-        self._seq = self.frontier
-        for record in _read_json_lines(self.path):
-            if record.get("meta") == "base":
-                base = int(record.get("base", 0))
-                self.base = max(self.base, base)
-                # Compaction only ever drops acked records, so the
-                # floor is also a lower bound on the ack frontier
-                # (covers a lost/stale .ack file).
-                self.frontier = max(self.frontier, base)
-                self._seq = max(self._seq, base)
-                continue
-            seq = int(record["seq"])
-            self._seq = max(self._seq, seq)
-            if seq > self.frontier:
-                self._pending[seq] = record["payload"]
+        self._seq = 0
+        payloads: Dict[int, Any] = {}
+        for record in self._recover():
+            meta = record.get("meta")
+            if meta == "ack":
+                # The last ack record wins: ``rewind_to`` may have
+                # lowered the frontier after a higher one.
+                self.frontier = int(record.get("through", 0))
+            elif meta == "base":
+                self.base = max(self.base, int(record.get("base", 0)))
+                self._seq = max(self._seq, self.base)
+            elif meta is None:
+                seq = int(record["seq"])
+                self._seq = max(self._seq, seq)
+                payloads[seq] = record["payload"]
+        # Compaction only ever drops acked records, so the floor is
+        # also a lower bound on the ack frontier (it covers ack
+        # records lost with an unsynced tail).
+        self.frontier = max(self.frontier, self.base)
+        self._seq = max(self._seq, self.frontier)
+        self._pending = {
+            seq: payload
+            for seq, payload in payloads.items()
+            if seq > self.frontier
+        }
         self._open_log()
+
+    def _log_frontier(self) -> None:
+        """Append the ack frontier as a record.  Flushed, not fsynced:
+        losing it only re-sends records the receiver already holds,
+        and its inbox frontier drops those duplicates."""
+        self._write_flushed('{"meta":"ack","through":%d}\n' % self.frontier)
 
     def append(self, payload: Any, blob: Optional[bytes] = None) -> int:
         """Durably enqueue ``payload``; returns its sequence number.
@@ -404,14 +458,14 @@ class DurableOutbox(_DurableLog):
             s <= seqno for s in self._pending
         ):
             self.frontier = max(self.frontier, seqno)
-            self._ack_path.write_text(str(self.frontier))
+            self._log_frontier()
 
     def ack_through(self, seqno: int) -> List[int]:
         """Cumulative acknowledgement: the receiver durably holds every
         sequence number ``<= seqno``.
 
         Drops the whole covered range in one batched truncation (one
-        frontier write instead of one per record) and returns the
+        ack record instead of one per sequence number) and returns the
         sequence numbers that were newly acknowledged, in order.
         """
         if seqno > self._seq:
@@ -421,13 +475,18 @@ class DurableOutbox(_DurableLog):
             # this) instead of silently pretending we sent that far.
             self.regressed_acks += 1
             seqno = self._seq
-        covered = sorted(s for s in self._pending if s <= seqno)
+        # Every pending seqno is above the frontier, so the covered
+        # range is (frontier, seqno]: walk it, not the whole backlog.
+        pending = self._pending
+        covered = [
+            s for s in range(self.frontier + 1, seqno + 1) if s in pending
+        ]
         for s in covered:
-            del self._pending[s]
+            del pending[s]
             self._blobs.pop(s, None)
         if seqno > self.frontier:
             self.frontier = seqno
-            self._ack_path.write_text(str(self.frontier))
+            self._log_frontier()
         return covered
 
     def rewind_to(self, ack_seq: int) -> bool:
@@ -446,14 +505,14 @@ class DurableOutbox(_DurableLog):
         if ack_seq < self.base:
             return False  # prefix compacted: unservable from this log
         for record in _read_json_lines(self.path):
-            if record.get("meta") == "base":
+            if "meta" in record:
                 continue
             seq = int(record["seq"])
             if ack_seq < seq and seq not in self._pending:
                 self._pending[seq] = record["payload"]
         self._pending = dict(sorted(self._pending.items()))
         self.frontier = ack_seq
-        self._ack_path.write_text(str(self.frontier))
+        self._log_frontier()
         return True
 
     def reset_to(self, seqno: int) -> None:
@@ -465,13 +524,12 @@ class DurableOutbox(_DurableLog):
         served from this log again, so the floor, the ack frontier and
         the next-assignment counter all become ``seqno``.
         """
-        self._rewrite([], base=seqno)
+        self._rewrite([{"meta": "ack", "through": seqno}], base=seqno)
         self._pending.clear()
         self._blobs.clear()
         self.base = seqno
         self.frontier = seqno
         self._seq = seqno
-        self._ack_path.write_text(str(self.frontier))
 
     def compact(self, through_seq: int) -> int:
         """Drop acked records ``<= through_seq`` from the log.
@@ -489,13 +547,17 @@ class DurableOutbox(_DurableLog):
         survivors: List[Dict[str, Any]] = []
         dropped = 0
         for record in _read_json_lines(self.path):
-            if record.get("meta") == "base":
+            if "meta" in record:
                 continue
             if int(record["seq"]) > through:
                 survivors.append(record)
             else:
                 dropped += 1
-        self._rewrite(survivors, base=through)
+        # The current frontier rides the rewrite as its last record.
+        self._rewrite(
+            [*survivors, {"meta": "ack", "through": self.frontier}],
+            base=through,
+        )
         self.base = through
         self.compaction_count += 1
         self.compacted_records += dropped
@@ -551,7 +613,7 @@ class DurableInbox(_DurableLog):
         #: ``base + 1`` (``base`` is 0 for a never-compacted log).
         self.frontier = 0
         self._records: List[Tuple[int, Any]] = []
-        for record in _read_json_lines(self.path):
+        for record in self._recover():
             if record.get("meta") == "base":
                 base = int(record.get("base", 0))
                 self.base = max(self.base, base)
@@ -670,3 +732,39 @@ class DurableInbox(_DurableLog):
         self._records = []
         self.base = seqno
         self.frontier = seqno
+
+
+class StateLog(_DurableLog):
+    """Durable small state: the last record wins.
+
+    Each :meth:`write` appends one ``{"meta": "state", "state": {...}}``
+    line under the log's write/flush/fsync policy — with ``fsync=True``
+    the state is on disk when ``write`` returns, so a caller may then
+    let the value leave the process.  A torn last line (a crash
+    mid-write) reads back as the previous state, which is exactly what
+    a crash before the write would have left.  Every
+    :data:`STATE_LOG_FOLD_EVERY` appends the log folds to its current
+    state with the tail-verified rewrite, so it never grows past a few
+    thousand lines.  ``value`` is None until the first write.
+    """
+
+    def __init__(self, path: pathlib.Path, fsync: bool = False) -> None:
+        super().__init__(path, fsync)
+        self.value: Optional[Dict[str, Any]] = None
+        self._appends = 0
+        for record in self._recover():
+            if record.get("meta") == "state":
+                self.value = record.get("state")
+                self._appends += 1
+        self._open_log()
+
+    def write(self, value: Dict[str, Any]) -> None:
+        """Persist ``value`` as the new state (raises OSError on failure)."""
+        record = {"meta": "state", "state": value}
+        if self._appends >= STATE_LOG_FOLD_EVERY:
+            self._rewrite([record], base=None)
+            self._appends = 1
+        else:
+            self._write_records([record])
+            self._appends += 1
+        self.value = value

@@ -33,55 +33,77 @@ refuses.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, Optional
+
+from .durable_queue import StateLog
 
 __all__ = ["ElectionState"]
 
 
 class ElectionState:
-    """Durable promise/adopt record for epoch-fenced leadership."""
+    """Durable promise/adopt record for epoch-fenced leadership.
 
-    def __init__(self, path: Optional[Path] = None) -> None:
+    Persisted in a :class:`StateLog` at ``path`` (``election.log`` in a
+    replica's data dir), fsynced per write when ``fsync`` is set — the
+    server passes its ``--fsync`` setting.  A transition changes the
+    in-memory state only once its record is written.
+    """
+
+    def __init__(self, path: Optional[Path] = None, fsync: bool = False) -> None:
         self.path = path
+        self.fsync = fsync
         self.promised = 0
         self.epoch = 0
         self.leader: Optional[str] = None
         self.base = 0
         #: epoch -> base, for every epoch adopted at this replica.
         self.bases: Dict[int, int] = {}
+        self._log: Optional[StateLog] = None
 
     # ------------------------------------------------------------------
     # persistence
 
     def load(self) -> None:
-        if self.path is None or not self.path.exists():
-            return
-        try:
-            raw = json.loads(self.path.read_text())
-            self.promised = int(raw.get("promised", 0))
-            self.epoch = int(raw.get("epoch", 0))
-            self.leader = raw.get("leader")
-            self.base = int(raw.get("base", 0))
-            self.bases = {int(k): int(v) for k, v in raw.get("bases", {}).items()}
-        except (ValueError, KeyError, OSError):
-            pass
-
-    def _persist(self) -> None:
         if self.path is None:
             return
-        payload = {
+        self._log = StateLog(self.path, self.fsync)
+        raw = self._log.value
+        if raw is not None:
+            self._set(raw)
+
+    def _set(self, raw: Dict[str, Any]) -> None:
+        self.promised = int(raw["promised"])
+        self.epoch = int(raw["epoch"])
+        self.leader = raw["leader"]
+        self.base = int(raw["base"])
+        self.bases = {int(k): int(v) for k, v in raw["bases"].items()}
+
+    def _commit(self, **changes: Any) -> bool:
+        """Persist the state with ``changes`` applied, then adopt it in
+        memory.  False (and nothing changed) when the write failed."""
+        raw = {
             "promised": self.promised,
             "epoch": self.epoch,
             "leader": self.leader,
             "base": self.base,
             "bases": {str(k): v for k, v in self.bases.items()},
         }
-        try:
-            self.path.write_text(json.dumps(payload))
-        except OSError:
-            pass
+        raw.update(changes)
+        if self.path is not None:
+            try:
+                if self._log is None:
+                    self._log = StateLog(self.path, self.fsync)
+                self._log.write(raw)
+            except OSError:
+                return False
+        self._set(raw)
+        return True
+
+    def close(self) -> None:
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     # ------------------------------------------------------------------
     # transitions
@@ -91,13 +113,11 @@ class ElectionState:
 
         Durable before returning True — the reply must not outrun the
         disk, or a crashed replica could re-promise the same epoch to a
-        second candidate.
+        second candidate.  A failed write refuses the promise.
         """
         if epoch <= self.promised:
             return False
-        self.promised = epoch
-        self._persist()
-        return True
+        return self._commit(promised=epoch)
 
     def adopt(self, epoch: int, leader: str, base: int) -> bool:
         """Adopt ``leader`` for ``epoch`` (monotonic; durable).
@@ -105,20 +125,22 @@ class ElectionState:
         Used both by the winning candidate itself and by replicas
         learning the outcome.  Adoption implies a promise at least as
         high — a replica that adopts epoch ``e`` will never promise
-        ``e`` to a later candidate.
+        ``e`` to a later candidate.  A failed write refuses the
+        adoption.
         """
         if epoch < self.epoch:
             return False
         if epoch == self.epoch and self.leader == leader:
             return False
-        self.epoch = epoch
-        self.leader = leader
-        self.base = int(base)
-        self.bases[epoch] = int(base)
-        if self.promised < epoch:
-            self.promised = epoch
-        self._persist()
-        return True
+        bases = {str(k): v for k, v in self.bases.items()}
+        bases[str(epoch)] = int(base)
+        return self._commit(
+            epoch=epoch,
+            leader=leader,
+            base=int(base),
+            bases=bases,
+            promised=max(self.promised, epoch),
+        )
 
     # ------------------------------------------------------------------
     # views

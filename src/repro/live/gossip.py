@@ -18,9 +18,13 @@ existing heartbeat frames):
     A node that sees itself suspected or declared dead at an
     incarnation >= its own *refutes* by bumping its incarnation and
     re-asserting ``alive`` — the refutation then out-versions the stale
-    rumor everywhere it gossips.  The table persists to
-    ``membership.json`` and bumps its own incarnation on every boot so
-    a restarted node's fresh records dominate its former life's.
+    rumor everywhere it gossips.  The table persists to a
+    :class:`~repro.live.durable_queue.StateLog` (``membership.log``)
+    whenever a durable field changes — incarnation, status, address or
+    shard; the volatile ``frontier``/``applied`` hints move with every
+    heartbeat and are not written for that alone.  ``load`` bumps our
+    own incarnation on every boot so a restarted node's fresh records
+    dominate its former life's.
 
 ``FailureDetector``
     A phi-accrual-flavoured adaptive detector.  Instead of one fixed
@@ -35,11 +39,12 @@ existing heartbeat frames):
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+
+from .durable_queue import StateLog
 
 __all__ = [
     "ALIVE",
@@ -147,20 +152,18 @@ class MembershipTable:
         self.path = path
         self._records: Dict[str, NodeRecord] = {}
         self.version = 0
+        self._log: Optional[StateLog] = None
 
     # ------------------------------------------------------------------
     # persistence
 
     def load(self) -> None:
         """Load persisted records and bump our own incarnation for this boot."""
-        if self.path is not None and self.path.exists():
-            try:
-                raw = json.loads(self.path.read_text())
-                for rec in raw.get("nodes", []):
-                    node = NodeRecord.from_wire(rec)
-                    self._records[node.name] = node
-            except (ValueError, KeyError, OSError):
-                self._records = {}
+        if self.path is not None:
+            self._log = StateLog(self.path)
+            for rec in (self._log.value or {}).get("nodes", []):
+                node = NodeRecord.from_wire(rec)
+                self._records[node.name] = node
         mine = self._records.get(self.self_name)
         if mine is None:
             mine = NodeRecord(self.self_name)
@@ -172,13 +175,17 @@ class MembershipTable:
         self._persist()
 
     def _persist(self) -> None:
+        """Write the table; called only when a durable field changed."""
         if self.path is None:
             return
-        payload = {"nodes": [rec.wire() for rec in self._records.values()]}
-        try:
-            self.path.write_text(json.dumps(payload))
-        except OSError:
-            pass
+        if self._log is None:
+            self._log = StateLog(self.path)
+        self._log.write({"nodes": self.wire()})
+
+    def close(self) -> None:
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     # ------------------------------------------------------------------
     # local mutation
@@ -199,28 +206,29 @@ class MembershipTable:
         applied: Optional[int] = None,
     ) -> None:
         rec = self.self_record()
-        changed = False
+        durable = volatile = False
         if host is not None and rec.host != host:
             rec.host = host
-            changed = True
+            durable = True
         if port is not None and rec.port != int(port):
             rec.port = int(port)
-            changed = True
-        if frontier is not None and rec.frontier != int(frontier):
-            rec.frontier = int(frontier)
-            changed = True
+            durable = True
         if shard is not None and rec.shard != shard:
             rec.shard = shard
-            changed = True
-        if applied is not None and rec.applied != int(applied):
-            rec.applied = int(applied)
-            changed = True
+            durable = True
         if rec.status != ALIVE:
             rec.status = ALIVE
             rec.incarnation += 1
-            changed = True
-        if changed:
+            durable = True
+        if frontier is not None and rec.frontier != int(frontier):
+            rec.frontier = int(frontier)
+            volatile = True
+        if applied is not None and rec.applied != int(applied):
+            rec.applied = int(applied)
+            volatile = True
+        if durable or volatile:
             self.version += 1
+        if durable:
             self._persist()
 
     def observe(self, name: str, host: str = "", port: int = 0,
@@ -235,6 +243,7 @@ class MembershipTable:
             if not rec.host and host:
                 rec.host, rec.port = host, int(port)
                 self.version += 1
+                self._persist()
             return
         self._records[name] = NodeRecord(
             name, host=host, port=port, incarnation=0, shard=shard,
@@ -274,6 +283,8 @@ class MembershipTable:
         re-assert alive — the refutation dominates the rumor.
         """
         changed: List[str] = []
+        # a durable field moved (not only the frontier hints)
+        durable = False
         for raw in records:
             try:
                 incoming = NodeRecord.from_wire(raw)
@@ -288,11 +299,13 @@ class MembershipTable:
                     mine.incarnation = incoming.incarnation + 1
                     mine.status = ALIVE
                     changed.append(mine.name)
+                    durable = True
                 continue
             current = self._records.get(incoming.name)
             if current is None:
                 self._records[incoming.name] = incoming
                 changed.append(incoming.name)
+                durable = True
                 continue
             if incoming.incarnation > current.incarnation:
                 self._records[incoming.name] = incoming
@@ -301,6 +314,7 @@ class MembershipTable:
                 if incoming.applied < current.applied:
                     incoming.applied = current.applied
                 changed.append(incoming.name)
+                durable = True
             elif incoming.incarnation == current.incarnation:
                 rec_changed = False
                 if (
@@ -308,7 +322,7 @@ class MembershipTable:
                     > STATUS_SEVERITY.get(current.status, 0)
                 ):
                     current.status = incoming.status
-                    rec_changed = True
+                    rec_changed = durable = True
                 if incoming.frontier > current.frontier:
                     current.frontier = incoming.frontier
                     rec_changed = True
@@ -319,12 +333,13 @@ class MembershipTable:
                     incoming.host, incoming.port,
                 ):
                     current.host, current.port = incoming.host, incoming.port
-                    rec_changed = True
+                    rec_changed = durable = True
                 if rec_changed:
                     changed.append(current.name)
             # lower incarnation: stale rumor, ignore
         if changed:
             self.version += 1
+        if durable:
             self._persist()
         return changed
 

@@ -102,7 +102,7 @@ from ..obs.registry import (
 )
 from ..obs.trace import TraceRecorder
 from ..replica.mset import MSet, MSetKind
-from .durable_queue import DurableInbox, DurableOutbox
+from .durable_queue import DurableInbox, DurableOutbox, StateLog
 from .election import ElectionState
 from .engine import LiveEngine, QueryTimeout, make_engine
 from .faults import FaultPlan
@@ -387,17 +387,20 @@ class ReplicaServer:
         ] = None
         self._order_lock = asyncio.Lock()
         self._order_counter = 0
-        self._order_path = self.data_dir / "order.json"
+        #: the sequencer's last grant (opened in ``bind``).
+        self._order_log: Optional[StateLog] = None
         #: which peer the cached order connection dials (re-dial on
         #: leader change).
         self._order_target: Optional[str] = None
         #: gossiped membership table + adaptive failure detector.
         self.membership = MembershipTable(
-            name, self.data_dir / "membership.json"
+            name, self.data_dir / "membership.log"
         )
         self.detector = FailureDetector(floor=suspect_after)
         #: durable election state for the ORDUP sequencer.
-        self.election = ElectionState(self.data_dir / "election.json")
+        self.election = ElectionState(
+            self.data_dir / "election.log", fsync
+        )
         #: peer -> (last epoch it gossiped, monotonic instant) — the
         #: leader's gossip lease: grants require a majority of fresh
         #: acks at the leader's own epoch.
@@ -649,13 +652,9 @@ class ReplicaServer:
             self.fsync,
             self.fsync_interval,
         )
-        if self._order_path.exists():
-            try:
-                self._order_counter = int(
-                    json.loads(self._order_path.read_text())["next"]
-                )
-            except (ValueError, KeyError, json.JSONDecodeError):
-                self._order_counter = 0
+        self._order_log = StateLog(self.data_dir / "order.log", self.fsync)
+        if self._order_log.value is not None:
+            self._order_counter = int(self._order_log.value["next"])
         self.membership.load()
         self.election.load()
         if self.election.epoch > 0 and hasattr(self.engine, "adopt_epoch"):
@@ -667,6 +666,11 @@ class ReplicaServer:
             self.data_dir, self.fsync, self.fsync_interval
         )
         await self._recover()
+        max_seen = getattr(self.engine, "max_order_seen", None)
+        if max_seen is not None:
+            # Never re-grant a token this replica already holds, even
+            # if the grant's own record was lost with an unsynced tail.
+            self._order_counter = max(self._order_counter, max_seen())
         self._running = True
         self._server = await asyncio.start_server(
             self._on_connection, host, port
@@ -877,6 +881,10 @@ class ReplicaServer:
             self._order_conn = None
         for box in list(self.outboxes.values()) + list(self.inboxes.values()):
             box.close()
+        if self._order_log is not None:
+            self._order_log.close()
+        self.election.close()
+        self.membership.close()
         self.engine.close()
         for fut in list(self._apply_futures.values()) + list(
             self._full_ack_futures.values()
@@ -1316,10 +1324,8 @@ class ReplicaServer:
                 # member has durably seen; persisted before the first
                 # new grant can be issued.
                 self._order_counter = max(self._order_counter, base)
-                self._order_path.write_text(
-                    json.dumps(
-                        {"next": self._order_counter, "epoch": epoch}
-                    )
+                self._order_log.write(
+                    {"next": self._order_counter, "epoch": epoch}
                 )
             await self._adopt_leader(epoch, self.name, base)
             self.m_elections.labels(outcome="won").inc()
@@ -3005,14 +3011,13 @@ class ReplicaServer:
         }
 
     def _grant_order(self) -> Tuple[int, int]:
-        """Issue the next gap-free global order token (durable),
-        stamped with the granting leader's epoch."""
-        self._order_counter += 1
-        self._order_path.write_text(
-            json.dumps(
-                {"next": self._order_counter, "epoch": self.election.epoch}
-            )
+        """Issue the next gap-free global order token, stamped with the
+        granting leader's epoch.  The grant is appended to the order
+        log (fsynced under ``--fsync``) before the token is returned."""
+        self._order_log.write(
+            {"next": self._order_counter + 1, "epoch": self.election.epoch}
         )
+        self._order_counter += 1
         return (self._order_counter, self.election.epoch)
 
     async def _acquire_order(self) -> Tuple[int, int]:

@@ -70,22 +70,51 @@ class TestOutboxCompaction:
         assert reloaded.append("later") == 7
         reloaded.close()
 
-    def test_base_marker_backstops_a_lost_ack_file(self, tmp_path):
+    def test_base_marker_backstops_lost_ack_records(self, tmp_path):
         path = tmp_path / "peer.log"
         outbox = DurableOutbox(path)
         for i in range(5):
             outbox.append({"n": i})
         outbox.ack_through(3)
         outbox.compact(3)
+        outbox.ack_through(4)
         outbox.close()
-        (tmp_path / "peer.log.ack").unlink()
+        # Ack records are flushed, not fsynced: drop every trailing
+        # one, as a crash before the next covering fsync could.
+        lines = path.read_bytes().splitlines(keepends=True)
+        while b'"meta":"ack"' in lines[-1]:
+            lines.pop()
+        path.write_bytes(b"".join(lines))
 
         reloaded = DurableOutbox(path)
-        # Compaction only drops acked records, so the floor is a
-        # lower bound on the frontier even without the .ack file.
+        # Compaction only drops acked records, so the floor is a lower
+        # bound on the frontier even with no ack record left; seq 4 is
+        # re-sent and the receiver's inbox frontier drops it.
         assert reloaded.frontier == 3
         assert [seq for seq, _ in reloaded.pending()] == [4, 5]
         reloaded.close()
+
+    def test_rewound_frontier_persists_across_reopen(self, tmp_path):
+        path = tmp_path / "peer.log"
+        outbox = DurableOutbox(path)
+        for i in range(6):
+            outbox.append({"n": i})
+        outbox.ack_through(6)
+        # The receiver lost its inbox and holds only <= 2.
+        assert outbox.rewind_to(2) is True
+        outbox.close()
+
+        reloaded = DurableOutbox(path)
+        # The last ack record wins, even though it is the lower one.
+        assert reloaded.frontier == 2
+        assert [seq for seq, _ in reloaded.pending()] == [3, 4, 5, 6]
+        reloaded.ack_through(4)
+        reloaded.close()
+
+        again = DurableOutbox(path)
+        assert again.frontier == 4
+        assert [seq for seq, _ in again.pending()] == [5, 6]
+        again.close()
 
     def test_rewind_fails_below_the_compaction_floor(self, tmp_path):
         outbox = DurableOutbox(tmp_path / "peer.log")
@@ -295,4 +324,65 @@ def test_inbox_compaction_crash_recovers_old_or_new(
     assert reloaded.record(9, {"n": 9}) is True
     assert reloaded.record(9, {"n": 9}) is False
     assert reloaded.compact(9) > 0
+    reloaded.close()
+
+
+def test_ack_record_torn_at_every_byte_keeps_the_previous_frontier(
+    tmp_path,
+):
+    """Cut the log at every offset inside its last record (an ack
+    record): a reload restores the previous complete frontier, cuts the
+    torn bytes, and later appends survive another reload."""
+    path = tmp_path / "peer.log"
+    outbox = DurableOutbox(path)
+    for i in range(5):
+        outbox.append({"n": i})
+    outbox.ack_through(2)
+    outbox.ack_through(4)
+    outbox.close()
+    raw = path.read_bytes()
+    last = raw.rstrip(b"\n").rfind(b"\n") + 1
+    assert raw[last:] == b'{"meta":"ack","through":4}\n'
+
+    for cut in range(last, len(raw)):
+        path.write_bytes(raw[:cut])
+        reloaded = DurableOutbox(path)
+        assert reloaded.frontier == 2, cut
+        assert [seq for seq, _ in reloaded.pending()] == [3, 4, 5]
+        assert reloaded.append({"n": 5}) == 6
+        reloaded.ack_through(3)
+        reloaded.close()
+
+        again = DurableOutbox(path)
+        assert again.frontier == 3, cut
+        assert [seq for seq, _ in again.pending()] == [4, 5, 6]
+        again.close()
+
+    path.write_bytes(raw)
+    whole = DurableOutbox(path)
+    assert whole.frontier == 4
+    whole.close()
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_compaction_crash_keeps_the_ack_frontier(
+    boundary, tmp_path, monkeypatch
+):
+    """The frontier rides the compaction rewrite as a record: a crash
+    at any boundary of the rewrite leaves it intact."""
+    path = tmp_path / "peer.log"
+    outbox = DurableOutbox(path)
+    for i in range(8):
+        outbox.append({"n": i})
+    outbox.ack_through(3)
+    outbox.ack_through(6)
+
+    with pytest.raises(_Crash):
+        _crash_compact(outbox, 4, boundary, monkeypatch, tmp_path)
+    monkeypatch.undo()
+
+    reloaded = DurableOutbox(path)
+    assert reloaded.base == (4 if boundary == "after-rename" else 0)
+    assert reloaded.frontier == 6
+    assert [seq for seq, _ in reloaded.pending()] == [7, 8]
     reloaded.close()
